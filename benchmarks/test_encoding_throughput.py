@@ -7,12 +7,16 @@ at the sensor (the premise of the whole paper).
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.baselines import SAXEncoder
 from repro.core import LookupTable, OnlineEncoder, SymbolicEncoder, TimeSeries
 from repro.pipeline import FleetEncoder, LookupStage, Pipeline, RLEStage, VerticalStage
+from repro.store import FleetIngestor
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +120,37 @@ def test_online_chunked_push_one_day(benchmark, one_day_series):
 
     encoder = benchmark.pedantic(run, rounds=3, iterations=1)
     assert encoder.is_bootstrapped
+
+
+def test_fleet_ingest_push_chunk_throughput(benchmark, tmp_path):
+    """Streaming fleet ingest: 64 meters x 3 days at 60 s into a store.
+
+    One ``push_chunk`` + ``commit`` per day (the first two days bootstrap
+    each meter's table), then ``finalize``; every round ingests into a
+    fresh store directory.
+    """
+    n_meters, days, per_day = 64, 3, 1440
+    rng = np.random.default_rng(5)
+    values = rng.lognormal(mean=np.log(250.0), sigma=0.8, size=(n_meters, days * per_day))
+    times = np.arange(days * per_day) * 60.0
+
+    def fresh_store():
+        return (Path(tempfile.mkdtemp(dir=tmp_path)) / "fleet.rsyms",), {}
+
+    def run(directory):
+        ingestor = FleetIngestor(
+            directory, list(range(n_meters)), alphabet_size=8,
+            window_seconds=900.0,
+        )
+        for day in range(days):
+            span = slice(day * per_day, (day + 1) * per_day)
+            ingestor.push_chunk(times[span], values[:, span])
+            ingestor.commit()
+        with ingestor.finalize() as store:
+            return store.n_symbols
+
+    n_symbols = benchmark.pedantic(run, setup=fresh_store, rounds=3)
+    assert n_symbols == n_meters * days * 96
+    benchmark.extra_info["meter_days_per_s"] = (
+        n_meters * days / benchmark.stats.stats.mean
+    )

@@ -131,39 +131,51 @@ def test_query_throughput_with_checksums(benchmark, segment_dir, results_dir):
 
     Acceptance for the durability layer: checksum-verified reads must cost
     under 10% of query throughput.  Columns are verified once on first
-    touch and cached, so steady-state queries pay nothing — this measures
-    exactly that steady state against a verification-off engine.
+    touch and cached, so steady-state queries pay nothing.  Each store is
+    opened and warmed by one query outside the timed region, so both sides
+    measure exactly that steady state; the deterministic half of the claim
+    is that no query after the first verifies a column again.
     """
+    from repro.obs import registry
     from repro.query import QueryEngine
     from repro.query.engine import QueryConfig
 
-    def run_queries(verify):
-        from repro.store import SegmentedStore
+    config = QueryConfig(k=5)
+    engines = {}
+    try:
+        for verify in ("off", "eager"):
+            engine = engines[verify] = QueryEngine(
+                SegmentedStore.open(segment_dir, verify=verify)
+            )
+            queries = engine.store.decode(meters=[0, 50, 100, 150])
+            engine.knn(queries, config)  # warm-up: verifies and caches columns
+        verifies = registry().counter_value("store.checksum_verifies_total")
 
-        store = SegmentedStore.open(segment_dir, verify=verify)
-        engine = QueryEngine(store)
-        queries = store.decode(meters=[0, 50, 100, 150])
-        config = QueryConfig(k=5)
-        try:
-            return engine.knn(queries, config)
-        finally:
+        result = benchmark(engines["eager"].knn, queries, config)
+        assert len(result.ids) == 4
+
+        # The ratio gate takes the median over interleaved off/eager pairs
+        # (which mode goes first alternates): both modes see the same cache
+        # and contention conditions, and the median of many pairs does not
+        # hinge on one lucky or unlucky ~20 ms run.
+        pairs = []
+        for i in range(31):
+            seconds = {}
+            for verify in ("off", "eager")[:: 1 if i % 2 else -1]:
+                start = time.perf_counter()
+                engines[verify].knn(queries, config)
+                seconds[verify] = time.perf_counter() - start
+            pairs.append((seconds["off"], seconds["eager"]))
+        # Deterministic companion: warm queries never re-verify a column.
+        assert (
+            registry().counter_value("store.checksum_verifies_total") == verifies
+        )
+    finally:
+        for engine in engines.values():
             engine.close()
-
-    result = benchmark(run_queries, "eager")
-    assert len(result.ids) == 4
-
-    # The ratio gate uses best-of-alternating timings, not means: min is
-    # robust to scheduler noise on shared runners, and alternating the two
-    # modes exposes both to the same cache/contention conditions.
-    baseline, verified = float("inf"), float("inf")
-    for _ in range(5):
-        start = time.perf_counter()
-        run_queries("off")
-        baseline = min(baseline, time.perf_counter() - start)
-        start = time.perf_counter()
-        run_queries("eager")
-        verified = min(verified, time.perf_counter() - start)
-    ratio = verified / baseline
+    baseline = float(np.median([off for off, _ in pairs]))
+    verified = float(np.median([eager for _, eager in pairs]))
+    ratio = float(np.median([eager / off for off, eager in pairs]))
     benchmark.extra_info.update({
         "queries_per_s": 4.0 / verified,
         "verified_over_unverified": ratio,

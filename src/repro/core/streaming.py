@@ -16,10 +16,8 @@ This module provides the sensor-side state machines:
 
 from __future__ import annotations
 
-import heapq
-import struct
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,7 +27,8 @@ from .horizontal import SymbolicSeries
 from .lookup import LookupTable
 from .separators import SeparatorMethod, get_method
 from .timeseries import TimeSeries
-from .vertical import Aggregator, get_aggregator
+from .vertical import (Aggregator, aggregate_windows, get_aggregator,
+                       segment_by_duration)
 
 __all__ = ["RunningStatistics", "OnlineEncoder", "EncodedWindow", "TableUpdate"]
 
@@ -39,9 +38,9 @@ def _hash_doubles(values: np.ndarray) -> np.ndarray:
 
     Used by the bounded distinct-value sketch: keeping the ``k`` values with
     the *smallest* hashes is a uniform random sample of the distinct values
-    seen so far, independent of arrival order and of how the stream was
-    chunked — which is what makes ``update`` and ``update_many`` agree
-    exactly.
+    seen so far.  The mix is a bijection on 64-bit patterns, so distinct
+    values never tie and the sample is independent of arrival order and of
+    how the stream was chunked.
     """
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     with np.errstate(over="ignore"):
@@ -49,22 +48,6 @@ def _hash_doubles(values: np.ndarray) -> np.ndarray:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         return z ^ (z >> np.uint64(31))
-
-
-_U64 = (1 << 64) - 1
-
-
-def _hash_double(value: float) -> int:
-    """Scalar twin of :func:`_hash_doubles` for the per-sample hot path.
-
-    Plain-int splitmix64 over the native float64 bit pattern — bit-identical
-    to the vectorized version (the update/update_many parity tests depend on
-    that) without paying a numpy array round-trip per pushed measurement.
-    """
-    z = (struct.unpack("=Q", struct.pack("=d", value))[0] + 0x9E3779B97F4A7C15) & _U64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-    return z ^ (z >> 31)
 
 
 class RunningStatistics:
@@ -75,11 +58,15 @@ class RunningStatistics:
     * a bounded reservoir of raw values keeps quantile statistics exact up to
       ``max_samples`` values and reservoir-sampled beyond (the REDD bootstrap
       window — two days at 1 Hz, 172 800 samples — fits comfortably);
-    * distinct values are tracked with a bounded bottom-k hash sketch (the
-      ``max_distinct`` values with the smallest hashes), so high-cardinality
-      streams no longer grow an unbounded set — the sketch is exact while the
-      stream has at most ``max_distinct`` distinct values and an unbiased
-      uniform sample of them beyond that;
+    * distinct values are tracked with a bottom-k hash sketch (the
+      ``max_distinct`` values with the smallest hashes) kept as a sorted
+      array.  New values collect in a pending buffer that is folded into the
+      sketch in bulk once it holds ``max_distinct`` values or when a distinct
+      statistic is read, so at most ``2 * max_distinct`` values are held.
+      The sketch is exact while the stream has at most ``max_distinct``
+      distinct values and an unbiased uniform sample of them beyond that,
+      and it does not depend on arrival order or chunking (``0.0`` and
+      ``-0.0`` count as one value);
     * the maximum is a dedicated running scalar, never subject to reservoir
       eviction, so ``uniform``-method separator rebuilds always see the true
       ``[0, max]`` range.
@@ -102,30 +89,38 @@ class RunningStatistics:
         self._sum = 0.0
         self._maximum = float("-inf")
         self._reservoir: List[float] = []
-        # Bottom-k distinct sketch: max-heap of (-hash, value) plus a
-        # membership set of the values currently sampled.
-        self._distinct_heap: List[Tuple[int, float]] = []
-        self._distinct_members: set = set()
+        # Bottom-k distinct sketch (sorted) and the values not yet folded in.
+        self._distinct = np.empty(0, dtype=np.float64)
+        self._pending: list = []
+        self._pending_count = 0
 
     # -- distinct sketch ---------------------------------------------------------
 
-    def _update_distinct(self, value: float, mixed: int) -> None:
-        if value in self._distinct_members:
+    def _add_distinct(self, values: Union[float, np.ndarray]) -> None:
+        """Queue a value or an array for the sketch; fold once enough wait."""
+        self._pending.append(values)
+        self._pending_count += np.size(values)
+        if self._pending_count >= self._max_distinct:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Merge the pending values into the bottom-k sketch."""
+        if not self._pending:
             return
-        if len(self._distinct_heap) < self._max_distinct:
-            heapq.heappush(self._distinct_heap, (-mixed, value))
-            self._distinct_members.add(value)
-        elif -self._distinct_heap[0][0] > mixed:
-            _, evicted = heapq.heappushpop(self._distinct_heap, (-mixed, value))
-            self._distinct_members.discard(evicted)
-            self._distinct_members.add(value)
+        # + 0.0 maps -0.0 to 0.0 (np.unique already treats them as equal).
+        merged = np.unique(np.hstack([self._distinct, *self._pending]) + 0.0)
+        if merged.size > self._max_distinct:
+            keep = np.argpartition(_hash_doubles(merged), self._max_distinct - 1)
+            merged = np.sort(merged[keep[:self._max_distinct]])
+        self._distinct = merged
+        self._pending, self._pending_count = [], 0
 
     def update(self, value: float) -> None:
         """Feed one measurement."""
         if np.isnan(value):
             return
         value = float(value)
-        self._update_distinct(value, _hash_double(value))
+        self._add_distinct(value)
         self._update_scalar_only(value)
 
     def update_many(self, values: Union[Sequence[float], np.ndarray]) -> None:
@@ -142,18 +137,16 @@ class RunningStatistics:
         arr = arr[~np.isnan(arr)]
         if arr.size == 0:
             return
+        self._add_distinct(arr)
         room = self._max_samples - len(self._reservoir)
         if arr.size <= room:
             self._count += arr.size
             self._sum += float(arr.sum())
             self._maximum = max(self._maximum, float(arr.max()))
-            self._update_distinct_many(arr)
             self._reservoir.extend(arr.tolist())
             return
-        # Full reservoir: distinct/maximum stay bulk (order-independent),
-        # while the value reservoir replays per-value to keep the random
-        # replacement sequence identical to repeated update() calls.
-        self._update_distinct_many(arr)
+        # Full reservoir: the value reservoir replays per-value to keep the
+        # random replacement sequence identical to repeated update() calls.
         for value in arr:
             self._update_scalar_only(float(value))
 
@@ -170,17 +163,6 @@ class RunningStatistics:
             j = int(self._rng.integers(0, self._count))
             if j < self._max_samples:
                 self._reservoir[j] = value
-
-    def _update_distinct_many(self, arr: np.ndarray) -> None:
-        distinct = np.unique(arr)
-        hashes = _hash_doubles(distinct)
-        if len(self._distinct_heap) >= self._max_distinct:
-            # Steady state: only candidates below the sketch threshold can
-            # enter, so the (rare) survivors are filtered vectorized first.
-            keep = hashes < np.uint64(-self._distinct_heap[0][0])
-            distinct, hashes = distinct[keep], hashes[keep]
-        for value, mixed in zip(distinct.tolist(), hashes.tolist()):
-            self._update_distinct(value, int(mixed))
 
     @property
     def count(self) -> int:
@@ -202,16 +184,19 @@ class RunningStatistics:
     @property
     def distinct_median(self) -> float:
         """Accumulative median of distinct values (sketch-sampled past the cap)."""
-        if not self._distinct_members:
-            return 0.0
-        return float(
-            np.median(np.fromiter(self._distinct_members, dtype=np.float64))
-        )
+        self._fold()
+        return float(np.median(self._distinct)) if self._distinct.size else 0.0
 
     @property
     def distinct_count(self) -> int:
         """Number of distinct values currently retained (capped at ``max_distinct``)."""
-        return len(self._distinct_members)
+        self._fold()
+        return self._distinct.size
+
+    def distinct_values(self) -> np.ndarray:
+        """Sorted snapshot of the distinct values the sketch retains."""
+        self._fold()
+        return self._distinct.copy()
 
     @property
     def maximum(self) -> float:
@@ -401,14 +386,17 @@ class OnlineEncoder:
     ) -> List[EncodedWindow]:
         """Feed a chunk of measurements at once (vectorized fast path).
 
-        Chunks with out-of-order timestamps (or drift monitoring enabled)
-        fall back to the equivalent per-sample pushes automatically.
         Produces exactly the windows, symbols and table that the equivalent
         sequence of :meth:`push` calls would — the streaming parity tests
-        assert this — but the bootstrap buffer, the running statistics and
-        the window grouping are all updated with array operations.  When
-        drift monitoring is enabled the chunk degrades to per-sample pushes
-        to keep the rebuild timing identical.
+        assert this — with array operations per chunk rather than Python
+        work per sample: the running statistics take the chunk in bulk, and
+        the closed windows are aggregated (one row-wise reduction per
+        distinct window length), recorded and encoded in one pass each.
+        The only per-window Python work left is building the returned
+        :class:`EncodedWindow` objects.  Chunks with out-of-order timestamps,
+        or any chunk while drift monitoring is enabled, fall back to the
+        equivalent per-sample pushes to keep straggler handling and rebuild
+        timing identical.
 
         Exactness caveat: window boundaries here are computed on the grid
         ``origin + k * window_seconds`` (one multiplication), while the
@@ -487,8 +475,6 @@ class OnlineEncoder:
         # Learn separators on the *aggregated* bootstrap data, consistent with
         # SymbolicEncoder.fit().
         bootstrap_series = TimeSeries(timestamps, values)
-        from .vertical import segment_by_duration  # local import to avoid cycle
-
         aggregated = segment_by_duration(
             bootstrap_series, self._window_seconds, self._aggregator
         )
@@ -516,7 +502,9 @@ class OnlineEncoder:
         Samples are grouped by their window slot relative to the current
         ``_window_start``; every group but the last closes a window (empty
         slots are skipped, exactly like the per-sample loop), and the last
-        group replaces the open window buffer.
+        group replaces the open window buffer.  A first group that continues
+        the open window is closed on its own; the other closed windows are
+        aggregated, recorded and encoded in one array pass.
         """
         emitted: List[EncodedWindow] = []
         if timestamps.size == 0:
@@ -529,37 +517,41 @@ class OnlineEncoder:
         # Out-of-order stragglers before the open window join it, as in the
         # per-sample loop (whose close condition never looks backwards).
         np.maximum(buckets, 0, out=buckets)
-        change = np.flatnonzero(np.diff(buckets)) + 1
-        starts = np.concatenate([[0], change])
-        ends = np.concatenate([change, [timestamps.size]])
+        starts = np.flatnonzero(np.diff(buckets, prepend=-1))
+        ends = np.append(starts[1:], timestamps.size)
 
-        first_bucket = int(buckets[0])
-        if first_bucket > 0 and self._window_values:
-            # The chunk starts past the open window: close it first.
-            emitted.append(self._close_window())
-            self._window_start = origin  # _close_window advanced by one slot
-        for g in range(starts.size):
-            bucket = int(buckets[starts[g]])
-            segment = values[starts[g]:ends[g]]
-            if g == 0 and bucket == 0 and self._window_values:
-                segment = np.concatenate(
-                    [np.asarray(self._window_values, dtype=np.float64), segment]
-                )
-            if g == starts.size - 1:
-                # Last group stays open until a later sample closes it.
-                self._window_start = origin + bucket * width
-                self._window_values = segment.tolist()
+        if self._window_values:
+            if buckets[0] > 0:
+                # The chunk starts past the open window: close it first.
+                emitted.append(self._close_window())
             else:
-                aggregated = self._aggregator(np.asarray(segment, dtype=np.float64))
-                assert self._table is not None
-                self._window_stats.update(aggregated)
-                window = EncodedWindow(
-                    timestamp=origin + bucket * width,
-                    symbol=self._table.symbol_for_value(aggregated),
-                    aggregated_value=aggregated,
-                )
-                self._emitted.append(window)
-                emitted.append(window)
+                # The first group continues the open window.
+                self._window_values.extend(values[:ends[0]].tolist())
+                if starts.size == 1:
+                    return emitted
+                emitted.append(self._close_window())
+                starts, ends = starts[1:], ends[1:]
+            self._window_start = origin  # _close_window advanced by one slot
+        if starts.size > 1:
+            assert self._table is not None
+            aggregated = aggregate_windows(
+                values, starts[:-1], ends[:-1], self._aggregator
+            )
+            self._window_stats.update_many(aggregated)
+            symbols = self._table.symbols_for_indices(
+                self._table.indices_for_values(aggregated)
+            )
+            windows = list(map(
+                EncodedWindow,
+                (origin + buckets[starts[:-1]] * width).tolist(),
+                symbols,
+                aggregated.tolist(),
+            ))
+            self._emitted.extend(windows)
+            emitted.extend(windows)
+        # Last group stays open until a later sample closes it.
+        self._window_start = origin + int(buckets[starts[-1]]) * width
+        self._window_values = values[starts[-1]:].tolist()
         return emitted
 
     def _feed_window(self, timestamp: float, value: float) -> List[EncodedWindow]:

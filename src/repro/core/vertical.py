@@ -12,11 +12,15 @@ Two entry points are provided:
   ``VA(S, n)``), which assumes a regularly-sampled series.
 * :func:`segment_by_duration` — aggregate every ``seconds`` of wall-clock
   time (e.g. 15 minutes / 1 hour), robust to gaps and irregular sampling.
+
+Both, and the streaming encoder, reduce their windows through
+:func:`aggregate_windows`: one row-wise NumPy call per distinct window
+length, bit-identical to applying the aggregator to each window's slice.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -27,6 +31,8 @@ __all__ = [
     "Aggregator",
     "AGGREGATORS",
     "get_aggregator",
+    "aggregate_windows",
+    "row_reducer",
     "segment_by_count",
     "segment_by_duration",
     "VerticalSegmenter",
@@ -46,6 +52,18 @@ AGGREGATORS: Dict[str, Aggregator] = {
 #: Aliases accepted by :func:`get_aggregator`.
 _ALIASES = {"mean": "average", "avg": "average", "maximum": "max", "minimum": "min"}
 
+#: Row-wise twins of the built-in aggregators, keyed by the scalar function:
+#: reducing a ``(windows, L)`` block along its last axis gives, bit for bit,
+#: what the scalar aggregator gives on each window's slice (NumPy runs the
+#: same pairwise summation and partition over each contiguous row).
+_ROW_REDUCERS: Dict[Aggregator, Callable[[np.ndarray], np.ndarray]] = {
+    AGGREGATORS["average"]: lambda block: block.mean(axis=-1),
+    AGGREGATORS["sum"]: lambda block: block.sum(axis=-1),
+    AGGREGATORS["max"]: lambda block: block.max(axis=-1),
+    AGGREGATORS["min"]: lambda block: block.min(axis=-1),
+    AGGREGATORS["median"]: lambda block: np.median(block, axis=-1),
+}
+
 
 def get_aggregator(name: Union[str, Aggregator]) -> Aggregator:
     """Resolve an aggregator by name, or pass a callable through unchanged."""
@@ -59,6 +77,43 @@ def get_aggregator(name: Union[str, Aggregator]) -> Aggregator:
         raise SegmentationError(
             f"unknown aggregator {name!r}; available: {sorted(AGGREGATORS)}"
         ) from None
+
+
+def row_reducer(
+    name: Union[str, Aggregator],
+) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """Last-axis reducer of a built-in aggregator (``None`` for a custom one)."""
+    return _ROW_REDUCERS.get(get_aggregator(name))
+
+
+def aggregate_windows(
+    values: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    aggregator: Union[str, Aggregator] = "average",
+) -> np.ndarray:
+    """Aggregate the windows ``values[starts[i]:ends[i]]`` (all non-empty).
+
+    Built-in aggregators reduce every window of one length in a single
+    row-wise call, so the cost is one NumPy reduction per distinct window
+    length rather than one Python call per window; the result equals the
+    per-slice aggregator bit for bit.  A user-supplied callable is applied
+    per window.
+    """
+    agg = get_aggregator(aggregator)
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(ends, dtype=np.int64) - starts
+    reducer = _ROW_REDUCERS.get(agg)
+    if reducer is None:
+        return np.array(
+            [agg(values[lo:lo + n]) for lo, n in zip(starts.tolist(), lengths.tolist())],
+            dtype=np.float64,
+        )
+    out = np.empty(starts.size, dtype=np.float64)
+    for n in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == n)
+        out[rows] = reducer(values[starts[rows, None] + np.arange(n)])
+    return out
 
 
 def segment_by_count(
@@ -81,19 +136,15 @@ def segment_by_count(
     if n == 1:
         return series
 
-    values = series.values
-    timestamps = series.timestamps
-    full_windows = len(series) // n
-    out_times: List[float] = []
-    out_values: List[float] = []
-    for w in range(full_windows):
-        lo, hi = w * n, (w + 1) * n
-        out_times.append(float(timestamps[hi - 1]))
-        out_values.append(agg(values[lo:hi]))
-    if keep_partial and full_windows * n < len(series):
-        out_times.append(float(timestamps[-1]))
-        out_values.append(agg(values[full_windows * n:]))
-    return TimeSeries(out_times, out_values, name=series.name)
+    starts = np.arange(0, len(series), n)
+    ends = np.minimum(starts + n, len(series))
+    if not keep_partial and ends[-1] - starts[-1] < n:
+        starts, ends = starts[:-1], ends[:-1]
+    return TimeSeries(
+        series.timestamps[ends - 1],
+        aggregate_windows(series.values, starts, ends, agg),
+        name=series.name,
+    )
 
 
 def segment_by_duration(
@@ -125,18 +176,16 @@ def segment_by_duration(
     origin = float(timestamps[0]) if align_to_origin else 0.0
     window_index = np.floor((timestamps - origin) / seconds).astype(np.int64)
 
-    out_times: List[float] = []
-    out_values: List[float] = []
-    # np.unique returns sorted window ids and the first occurrence index of
-    # each; since timestamps are sorted, samples of one window are contiguous.
-    unique_windows, starts = np.unique(window_index, return_index=True)
-    boundaries = list(starts) + [len(series)]
-    for w, lo, hi in zip(unique_windows, boundaries[:-1], boundaries[1:]):
-        if hi - lo < min_samples:
-            continue
-        out_times.append(origin + float(w) * seconds)
-        out_values.append(agg(values[lo:hi]))
-    return TimeSeries(out_times, out_values, name=series.name)
+    # Timestamps are sorted, so the samples of one window are contiguous.
+    starts = np.flatnonzero(np.diff(window_index, prepend=window_index[0] - 1))
+    ends = np.append(starts[1:], len(series))
+    keep = ends - starts >= min_samples
+    starts, ends = starts[keep], ends[keep]
+    return TimeSeries(
+        origin + window_index[starts].astype(np.float64) * seconds,
+        aggregate_windows(values, starts, ends, agg),
+        name=series.name,
+    )
 
 
 class VerticalSegmenter:

@@ -20,12 +20,13 @@ instance can serve many concurrent streams.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import SegmentationError
 from ..core.lookup import LookupTable
+from ..core.vertical import row_reducer
 
 __all__ = [
     "Stage",
@@ -37,40 +38,22 @@ __all__ = [
     "rle_decode",
 ]
 
-#: Axis-aware reducers matching ``repro.core.vertical.AGGREGATORS`` bit-for-bit
-#: (NumPy uses the same pairwise summation over contiguous windows either way).
-_AXIS_AGGREGATORS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "average": lambda a: a.mean(axis=-1),
-    "sum": lambda a: a.sum(axis=-1),
-    "max": lambda a: a.max(axis=-1),
-    "min": lambda a: a.min(axis=-1),
-    "median": lambda a: np.median(a, axis=-1),
-}
-
-_AGGREGATOR_ALIASES = {"mean": "average", "avg": "average",
-                       "maximum": "max", "minimum": "min"}
-
 
 def get_axis_aggregator(
     name: Union[str, Callable[[np.ndarray], float]],
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Resolve an aggregator into a windows-axis reducer.
 
-    Named aggregators use the vectorized reducers above; an arbitrary
-    scalar callable (the :data:`repro.core.vertical.Aggregator` contract) is
-    wrapped into a per-window apply so custom aggregations keep working.
+    Named aggregators use the row-wise reducers of
+    :mod:`repro.core.vertical` (bit-identical to the scalar aggregators); an
+    arbitrary scalar callable (the :data:`repro.core.vertical.Aggregator`
+    contract) is wrapped into a per-window apply so custom aggregations keep
+    working.
     """
-    if callable(name):
-        scalar = name
-        return lambda a: np.apply_along_axis(scalar, -1, a)
-    key = name.strip().lower()
-    key = _AGGREGATOR_ALIASES.get(key, key)
-    try:
-        return _AXIS_AGGREGATORS[key]
-    except KeyError:
-        raise SegmentationError(
-            f"unknown aggregator {name!r}; available: {sorted(_AXIS_AGGREGATORS)}"
-        ) from None
+    reducer = row_reducer(name)
+    if reducer is None:
+        return lambda a: np.apply_along_axis(name, -1, a)
+    return reducer
 
 
 class Stage:

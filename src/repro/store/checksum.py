@@ -32,7 +32,8 @@ parity on random buffers of awkward sizes, and the combine property.
 
 from __future__ import annotations
 
-from typing import List, Union
+from functools import lru_cache
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,7 +81,7 @@ def _crc_bytes(data: bytes, state: int) -> int:
 # -- GF(2) shift operators (the zlib crc32_combine construction) ----------------
 
 
-def _gf2_times(matrix: List[int], vec: int) -> int:
+def _gf2_times(matrix: Sequence[int], vec: int) -> int:
     total = 0
     index = 0
     while vec:
@@ -91,16 +92,18 @@ def _gf2_times(matrix: List[int], vec: int) -> int:
     return total
 
 
-def _gf2_square(matrix: List[int]) -> List[int]:
+def _gf2_square(matrix: Sequence[int]) -> List[int]:
     return [_gf2_times(matrix, matrix[i]) for i in range(32)]
 
 
-def _zero_operator(nbytes: int) -> List[int]:
+@lru_cache(maxsize=256)
+def _zero_operator(nbytes: int) -> Tuple[int, ...]:
     """32x32 GF(2) matrix advancing a CRC over ``nbytes`` zero bytes.
 
     ``matrix[i]`` is the image of basis vector ``1 << i``; built by binary
     exponentiation of the one-byte shift operator (all powers of one matrix
-    commute, so composition order is free).
+    commute, so composition order is free).  Memoised: the lane path and
+    :func:`crc32c_combine` ask for the same few lengths over and over.
     """
     # One zero *bit*, then square twice: 1 -> 2 -> 4 bits.
     matrix = [_POLY] + [1 << (n - 1) for n in range(1, 32)]
@@ -115,7 +118,7 @@ def _zero_operator(nbytes: int) -> List[int]:
                 else [_gf2_times(matrix, result[i]) for i in range(32)]
             )
         n >>= 1
-    return result if result is not None else [1 << i for i in range(32)]
+    return tuple(result if result is not None else [1 << i for i in range(32)])
 
 
 def crc32c_combine(crc1: int, crc2: int, len2: int) -> int:

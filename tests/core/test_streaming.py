@@ -4,9 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import OnlineEncoder, RunningStatistics, SymbolicEncoder, TimeSeries
+from repro.core.streaming import _hash_doubles
+from repro.core.vertical import AGGREGATORS, aggregate_windows
 from repro.errors import SegmentationError
+
+
+def _spread(window: np.ndarray) -> float:
+    """A user-supplied aggregator (no row-wise twin)."""
+    return float(window.max() - window.min())
+
+
+AGGREGATOR_CASES = sorted(AGGREGATORS) + [_spread]
 
 
 class TestRunningStatistics:
@@ -102,7 +114,7 @@ class TestRunningStatistics:
         assert one.count == many.count
         assert one.mean == many.mean
         assert one.maximum == many.maximum
-        assert one._distinct_members == many._distinct_members
+        np.testing.assert_array_equal(one.distinct_values(), many.distinct_values())
         np.testing.assert_array_equal(one.values(), many.values())
 
     def test_snapshot_keys(self):
@@ -278,3 +290,102 @@ class TestOnlineEncoder:
                 for u in per_sample.table_updates] == \
                [(u.timestamp, u.reason, u.table.separators)
                 for u in chunked.table_updates]
+
+
+# Chunked vs per-sample parity (property-based) ----------------------------------
+
+#: Steps between readings: mostly regular, with gaps that skip whole windows
+#: and repeated timestamps, so windows come out with unequal lengths.
+_steps = st.sampled_from([0.0, 60.0, 60.0, 60.0, 60.0, 60.0, 120.0, 1000.0, 3700.0])
+#: Readings: a small pool (repeats, signed zeros, NaN) plus arbitrary floats.
+_readings = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 2.5, 100.0, float("nan")]),
+    st.floats(min_value=-50.0, max_value=1e4, allow_nan=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def _streams(draw):
+    n = draw(st.integers(1, 400))  # drawn first, so long streams are common
+    steps = draw(st.lists(_steps, min_size=n, max_size=n))
+    values = draw(st.lists(_readings, min_size=n, max_size=n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    return np.cumsum(steps), np.asarray(values, dtype=np.float64), cuts
+
+
+def _windows(encoder):
+    return [(w.timestamp, w.symbol.word, w.aggregated_value) for w in encoder.emitted]
+
+
+def _updates(encoder):
+    return [(u.timestamp, u.reason, u.table.separators) for u in encoder.table_updates]
+
+
+class TestChunkParityProperties:
+    @given(
+        stream=_streams(),
+        aggregator=st.sampled_from(AGGREGATOR_CASES),
+        window=st.sampled_from([300.0, 900.0]),
+        bootstrap=st.sampled_from([600.0, 3600.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_push_chunk_equals_per_sample_push(
+        self, stream, aggregator, window, bootstrap
+    ):
+        ts, values, cuts = stream
+        kwargs = dict(alphabet_size=4, method="median", window_seconds=window,
+                      bootstrap_seconds=bootstrap, aggregator=aggregator)
+        per_sample = OnlineEncoder(**kwargs)
+        for t, v in zip(ts, values):
+            per_sample.push(float(t), float(v))
+        per_sample.flush()
+        chunked = OnlineEncoder(**kwargs)
+        for lo, hi in zip([0] + cuts, cuts + [ts.size]):
+            chunked.push_chunk(ts[lo:hi], values[lo:hi])
+        chunked.flush()
+
+        assert _windows(chunked) == _windows(per_sample)
+        assert _updates(chunked) == _updates(per_sample)
+        np.testing.assert_array_equal(
+            chunked.statistics.distinct_values(),
+            per_sample.statistics.distinct_values(),
+        )
+        np.testing.assert_array_equal(
+            chunked.statistics.values(), per_sample.statistics.values()
+        )
+
+        # A small distinct cap forces sketch evictions on the same cases.
+        one = RunningStatistics(max_distinct=16)
+        many = RunningStatistics(max_distinct=16)
+        for v in values:
+            one.update(float(v))
+        for lo, hi in zip([0] + cuts, cuts + [ts.size]):
+            many.update_many(values[lo:hi])
+        assert one.count == many.count
+        assert one.maximum == many.maximum
+        assert one.distinct_median == many.distinct_median
+        np.testing.assert_array_equal(one.distinct_values(), many.distinct_values())
+        # Bottom-k: exactly the 16 distinct values with the smallest hashes.
+        distinct = np.unique(values[~np.isnan(values)] + 0.0)
+        bottom = distinct[np.argsort(_hash_doubles(distinct))[:16]]
+        np.testing.assert_array_equal(one.distinct_values(), np.sort(bottom))
+
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1.0, 1e-3, 1e6]))
+    @settings(max_examples=10, deadline=None)
+    def test_grouped_reduction_equals_per_slice(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        lengths = rng.permutation(np.arange(1, 301))  # every length 1..300
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        values = rng.lognormal(3.0, 2.0, size=int(ends[-1])) * scale
+        values[rng.random(values.size) < 0.3] = 2.5  # repeats
+        values[rng.random(values.size) < 0.05] = -0.0
+        values[rng.random(values.size) < 0.002] = np.nan
+        for aggregator in AGGREGATOR_CASES:
+            scalar = AGGREGATORS.get(aggregator, aggregator)
+            got = aggregate_windows(values, starts, ends, aggregator)
+            want = np.array(
+                [scalar(values[lo:hi]) for lo, hi in zip(starts, ends)]
+            )
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
